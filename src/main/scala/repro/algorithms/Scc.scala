@@ -3,7 +3,7 @@ package repro.algorithms
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.views.ViewCollection
-import repro.diff.{CollectionExecutor, SplittingOptimizer}
+import repro.diff.CollectionExecutor
 
 /** Strongly connected components.
   *
@@ -176,53 +176,25 @@ object Scc {
     out.join(rep, Seq("scc")).select(col("vid"), col("__rep").as("scc")).transform(repro.diff.Engine.ckpt)
   }
 
-  /** Run SCC over a view collection in a given execution mode — the SCC
-    * counterpart of [[repro.diff.CollectionExecutor]], sharing the same
-    * adaptive splitting optimizer.
+  /** Run SCC over a view collection in a given execution mode, under the
+    * same loop and adaptive splitting optimizer as vertex programs
+    * ([[repro.diff.CollectionExecutor]]).
     */
   def runCollection(spark: SparkSession, vertices: DataFrame,
                     collection: ViewCollection, mode: CollectionExecutor.Mode,
                     keepResults: Boolean = false):
-      (Seq[CollectionExecutor.ViewStat], Seq[Map[Long, Long]]) = {
-    import CollectionExecutor._
-    val optimizer = mode match {
-      case Adaptive(b) => Some(new SplittingOptimizer(b))
-      case _           => None
-    }
-    var currentEdges: DataFrame = null
-    var prevScc: DataFrame = null
-    val stats = Seq.newBuilder[ViewStat]
-    val results = Seq.newBuilder[Map[Long, Long]]
-
-    for (t <- 0 until collection.numViews) {
-      val delta = collection.diffsAt(t).transform(repro.diff.Engine.ckpt)
-      val deltaCnt = delta.count()
-      val adds = repro.diff.Engine.fresh(
-        delta.where(col("diff") > 0).select("eid", "src", "dst", "weight"))
-      val dels = repro.diff.Engine.fresh(delta.where(col("diff") < 0))
-      currentEdges = (if (currentEdges == null) adds
-                      else currentEdges.unionByName(adds)
-                        .join(dels.select("eid"), Seq("eid"), "left_anti"))
-        .transform(repro.diff.Engine.ckpt)
-      val edgeCnt = currentEdges.count()
-
-      val runDiff = prevScc != null && (mode match {
-        case DiffOnly    => true
-        case ScratchOnly => false
-        case Adaptive(_) => optimizer.get.decide(t, edgeCnt, deltaCnt)
+      (Seq[CollectionExecutor.ViewStat], Seq[Map[Long, Long]]) =
+    CollectionExecutor.drive(collection, mode, keepResults,
+      new CollectionExecutor.Step[(DataFrame, DataFrame), DataFrame, Map[Long, Long]] {
+        val name = "SCC"
+        /** E_t and the `src, dst` of the edges δ deleted. */
+        def input(edges: DataFrame, delta: DataFrame) =
+          (edges, repro.diff.Engine.fresh(delta.where(col("diff") < 0)).select("src", "dst"))
+        def scratch(in: (DataFrame, DataFrame)) = Scc.scratch(spark, vertices, in._1)
+        def advance(prev: DataFrame, in: (DataFrame, DataFrame)) =
+          incremental(spark, in._1, in._2, prev)
+        def counters(state: DataFrame) = (0, 0L)
+        def result(state: DataFrame) =
+          state.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
       })
-
-      val t0 = System.nanoTime()
-      prevScc =
-        if (runDiff)
-          incremental(spark, currentEdges, dels.select("src", "dst"), prevScc)
-        else scratch(spark, vertices, currentEdges)
-      val ms = (System.nanoTime() - t0) / 1000000
-      optimizer.foreach(_.observe(runDiff, if (runDiff) deltaCnt else edgeCnt, ms))
-      stats += ViewStat(t, collection.viewNames(t), runDiff, ms, edgeCnt, deltaCnt, 0, 0)
-      if (keepResults)
-        results += prevScc.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    }
-    (stats.result(), results.result())
-  }
 }

@@ -14,8 +14,9 @@ import repro.views.ViewCollection
   * decades), C_ex-sh-sl (expand/shrink/slide year windows), C_aut (5 year
   * windows × 5 author-count windows = 25 views). This repro: synthetic
   * citation analog (DESIGN.md), C_sl slides the decade by 10 years
-  * (9 views), C_ex-sh-sl uses 2-year steps (10 views), C_aut uses a 3×3
-  * window grid (9 views) — smaller view counts keep the 36-run sweep
+  * (5 views), C_ex-sh-sl expands in 2-year and shrinks and slides in
+  * 3-year steps (7 views), C_aut uses a 2×3 year × author-count grid
+  * (6 views) — smaller view counts keep the 36-run sweep
   * tractable at laptop scale while preserving each collection's
   * addition/deletion structure.
   */

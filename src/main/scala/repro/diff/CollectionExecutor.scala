@@ -8,11 +8,12 @@ import Engine._
 /** Analytics Computation Executor for view collections (§3.2.2 + §5).
   *
   * Iterates over the collection's ordered views, maintains the current
-  * edge set E_t by applying difference sets, and runs the program on each
-  * view either differentially (against the previous view's trace) or from
+  * edge set E_t by applying difference sets, and runs the analytic on each
+  * view either differentially (against the previous view's state) or from
   * scratch, according to the execution mode. Adaptive mode delegates the
   * choice to [[SplittingOptimizer]]; a scratch run replaces the stored
-  * trace, which is exactly a collection split.
+  * state, which is exactly a collection split. The same loop drives vertex
+  * programs ([[run]]) and SCC (`repro.algorithms.Scc.runCollection`).
   */
 object CollectionExecutor {
 
@@ -24,7 +25,11 @@ object CollectionExecutor {
   /** §5 adaptive splitting, deciding per batch of ℓ views. */
   final case class Adaptive(batch: Int = 1) extends Mode
 
-  /** Per-view execution record. */
+  /** Per-view execution record. `millis` times only the scratch or
+    * differential call, not the per-view upkeep. `iterations` and
+    * `workRows` count vertex-program work (see [[Engine.RunResult]]); they
+    * are 0 for SCC.
+    */
   final case class ViewStat(t: Int, viewName: String, ranDiff: Boolean,
                             millis: Long, viewEdges: Long, deltaEdges: Long,
                             iterations: Int, workRows: Long)
@@ -38,58 +43,87 @@ object CollectionExecutor {
     def totalMillis: Long = stats.map(_.millis).sum
   }
 
+  /** One analytic as [[drive]] runs it, view by view.
+    *
+    * @tparam I per-view input, built untimed from E_t and δ
+    * @tparam S state carried from one view to the next
+    * @tparam R a view's result collected to the driver
+    */
+  private[repro] trait Step[I, S, R] {
+    def name: String
+    /** Input for a view from E_t (canonical, checkpointed) and δ. */
+    def input(edges: DataFrame, delta: DataFrame): I
+    def scratch(in: I): S
+    def advance(prev: S, in: I): S
+    /** `(iterations, workRows)` of a view's run. */
+    def counters(state: S): (Int, Long)
+    def result(state: S): R
+  }
+
   def run(spark: SparkSession, program: VertexProgram, vertices: DataFrame,
           collection: ViewCollection, mode: Mode,
           keepResults: Boolean = false): CollectionRun = {
+    val verts = ckpt(vertices)
+    val (stats, results) = drive(collection, mode, keepResults,
+      new Step[(DataFrame, DataFrame), RunResult, Map[Long, Double]] {
+        val name = program.name
+        def input(edges: DataFrame, delta: DataFrame) =
+          (ckpt(prepare(program, edges)), prepareDelta(program, delta))
+        def scratch(in: (DataFrame, DataFrame)) =
+          ScratchRun.run(spark, program, verts, in._1)
+        def advance(prev: RunResult, in: (DataFrame, DataFrame)) =
+          DifferentialRun.run(spark, program, verts, in._1, in._2, prev)
+        def counters(state: RunResult) = (state.iterations, state.workRows)
+        def result(state: RunResult) =
+          state.finalState.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+      })
+    CollectionRun(stats, results)
+  }
 
+  /** The outer loop over a collection's views, shared by every analytic. */
+  private[repro] def drive[I, S, R](collection: ViewCollection, mode: Mode,
+                                    keepResults: Boolean,
+                                    step: Step[I, S, R]): (Seq[ViewStat], Seq[R]) = {
     val optimizer = mode match {
       case Adaptive(b) => Some(new SplittingOptimizer(b))
       case _           => None
     }
-
-    val verts = ckpt(vertices)
     var currentEdges: DataFrame = null // canonical (unsymmetrized) E_t
-    var state: RunResult = null
+    var state: Option[S] = None
     val stats = Seq.newBuilder[ViewStat]
-    val results = Seq.newBuilder[Map[Long, Double]]
+    val results = Seq.newBuilder[R]
 
     for (t <- 0 until collection.numViews) {
-      val delta = ckpt(collection.diffsAt(t))
-      val deltaCnt = delta.count()
+      val (delta, deltaCnt) = ckptCounted(collection.diffsAt(t))
       val adds = fresh(delta.where(col("diff") > 0).select("eid", "src", "dst", "weight"))
       val dels = fresh(delta.where(col("diff") < 0).select("eid"))
-      currentEdges = ckpt(
+      val (edges, edgeCnt) = ckptCounted(
         if (currentEdges == null) adds
         else currentEdges.unionByName(adds).join(dels, Seq("eid"), "left_anti"))
-      val edgeCnt = currentEdges.count()
+      currentEdges = edges
+      val in = step.input(edges, delta)
 
-      val prepared = ckpt(prepare(program, currentEdges))
-      val preparedDelta = prepareDelta(program, delta)
-
-      val runDiff = state != null && (mode match {
+      val runDiff = state.isDefined && (mode match {
         case DiffOnly    => true
         case ScratchOnly => false
         case Adaptive(_) => optimizer.get.decide(t, edgeCnt, deltaCnt)
       })
 
       val t0 = System.nanoTime()
-      state =
-        if (runDiff) DifferentialRun.run(spark, program, verts, prepared, preparedDelta, state)
-        else ScratchRun.run(spark, program, verts, prepared)
+      val next = if (runDiff) step.advance(state.get, in) else step.scratch(in)
       val ms = (System.nanoTime() - t0) / 1000000
+      state = Some(next)
       optimizer.foreach(_.observe(runDiff, if (runDiff) deltaCnt else edgeCnt, ms))
 
+      val (iterations, workRows) = step.counters(next)
       stats += ViewStat(t, collection.viewNames(t), runDiff, ms, edgeCnt,
-                        deltaCnt, state.iterations, state.workRows)
+                        deltaCnt, iterations, workRows)
       if (sys.env.contains("REPRO_VERBOSE"))
         Console.err.println(
-          f"[exec] ${program.name}%-4s view=$t%3d mode=${if (runDiff) "diff" else "scratch"}%-7s " +
-          f"ms=$ms%6d |E|=$edgeCnt%7d |δ|=$deltaCnt%6d iters=${state.iterations}%3d work=${state.workRows}%8d")
-      if (keepResults) {
-        results += state.finalState.collect()
-          .map(r => r.getLong(0) -> r.getDouble(1)).toMap
-      }
+          f"[exec] ${step.name}%-4s view=$t%3d mode=${if (runDiff) "diff" else "scratch"}%-7s " +
+          f"ms=$ms%6d |E|=$edgeCnt%7d |δ|=$deltaCnt%6d iters=$iterations%3d work=$workRows%8d")
+      if (keepResults) results += step.result(next)
     }
-    CollectionRun(stats.result(), results.result())
+    (stats.result(), results.result())
   }
 }

@@ -61,14 +61,7 @@ object Engine {
     * when degree-dependent.
     */
   def prepare(program: VertexProgram, edges: DataFrame): DataFrame = {
-    val base =
-      if (!program.undirected) edges.select(col("eid") * 2, col("src"), col("dst"), col("weight"))
-        .toDF("eid", "src", "dst", "weight")
-      else
-        edges.select((col("eid") * 2).as("eid"), col("src"), col("dst"), col("weight"))
-          .unionByName(
-            edges.select((col("eid") * 2 + 1).as("eid"), col("dst").as("src"),
-                         col("src").as("dst"), col("weight")))
+    val base = keyed(program, edges, "weight")
     if (!program.degreeDependent) base.withColumn("srcdeg", lit(1L))
     else {
       val deg = base.groupBy(col("src").as("__dv")).agg(count(lit(1)).as("srcdeg"))
@@ -82,15 +75,17 @@ object Engine {
     * degree column — diffs only seed affected sets).
     */
   def prepareDelta(program: VertexProgram, delta: DataFrame): DataFrame =
-    if (!program.undirected)
-      delta.select((col("eid") * 2).as("eid"), col("src"), col("dst"),
-                   col("weight"), col("diff"))
-    else
-      delta.select((col("eid") * 2).as("eid"), col("src"), col("dst"),
-                   col("weight"), col("diff"))
-        .unionByName(
-          delta.select((col("eid") * 2 + 1).as("eid"), col("dst").as("src"),
-                       col("src").as("dst"), col("weight"), col("diff")))
+    keyed(program, delta, "weight", "diff")
+
+  /** `eid, src, dst, cols` with eid e keyed 2e, plus the reverse copy keyed
+    * 2e+1 when the program is undirected.
+    */
+  private def keyed(program: VertexProgram, edges: DataFrame, cols: String*): DataFrame = {
+    val forward = edges.select((col("eid") * 2).as("eid") +: ("src" +: "dst" +: cols).map(col): _*)
+    if (!program.undirected) forward
+    else forward.unionByName(edges.select(
+      (col("eid") * 2 + 1).as("eid") +: col("dst").as("src") +: col("src").as("dst") +: cols.map(col): _*))
+  }
 
   /** state_0. */
   def initialState(program: VertexProgram, vertices: DataFrame): DataFrame =

@@ -88,9 +88,13 @@ class SccSpec extends ReproSpec {
     val init = TestGraphs.randomEdges(rnd, nV, 60)
     val views = TestGraphs.perturbationViews(rnd, nV, init, 3, 8, 8)
     val coll = TestGraphs.collectionFrom(spark, "sccS", views)
-    val (_, results) = Scc.runCollection(spark, TestGraphs.vertices(spark, nV),
-      coll, CollectionExecutor.ScratchOnly, keepResults = true)
-    for (t <- views.indices)
-      assert(results(t) == sccRef(nV, views(t)), s"view $t")
+    for (mode <- Seq(CollectionExecutor.ScratchOnly, CollectionExecutor.Adaptive())) {
+      val (stats, results) = Scc.runCollection(spark, TestGraphs.vertices(spark, nV),
+        coll, mode, keepResults = true)
+      for (t <- views.indices)
+        assert(results(t) == sccRef(nV, views(t)), s"$mode view $t")
+      if (mode == CollectionExecutor.ScratchOnly) assert(stats.forall(!_.ranDiff))
+      else assert(stats.take(2).map(_.ranDiff) == Seq(false, true), "adaptive bootstrap")
+    }
   }
 }
