@@ -193,7 +193,7 @@ object Scc {
         def scratch(in: (DataFrame, DataFrame)) = Scc.scratch(spark, vertices, in._1)
         def advance(prev: DataFrame, in: (DataFrame, DataFrame)) =
           incremental(spark, in._1, in._2, prev)
-        def counters(state: DataFrame) = (0, 0L)
+        def log(state: DataFrame) = None
         def result(state: DataFrame) =
           state.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
       })

@@ -26,13 +26,16 @@ object CollectionExecutor {
   final case class Adaptive(batch: Int = 1) extends Mode
 
   /** Per-view execution record. `millis` times only the scratch or
-    * differential call, not the per-view upkeep. `iterations` and
-    * `workRows` count vertex-program work (see [[Engine.RunResult]]); they
-    * are 0 for SCC.
+    * differential call, not the per-view upkeep. `log` is a vertex
+    * program's [[Engine.RunLog]] (per-iteration counts and the exit taken);
+    * None for SCC, whose `iterations` and `workRows` read 0.
     */
   final case class ViewStat(t: Int, viewName: String, ranDiff: Boolean,
                             millis: Long, viewEdges: Long, deltaEdges: Long,
-                            iterations: Int, workRows: Long)
+                            log: Option[RunLog]) {
+    def iterations: Int = log.fold(0)(_.iterations)
+    def workRows: Long = log.fold(0L)(_.workRows)
+  }
 
   /** Result: per-view stats and, if requested via `keepResults`, the final
     * per-vertex state of each view (collected to the driver as
@@ -55,8 +58,8 @@ object CollectionExecutor {
     def input(edges: DataFrame, delta: DataFrame): I
     def scratch(in: I): S
     def advance(prev: S, in: I): S
-    /** `(iterations, workRows)` of a view's run. */
-    def counters(state: S): (Int, Long)
+    /** A vertex program's record of a view's run. */
+    def log(state: S): Option[RunLog]
     def result(state: S): R
   }
 
@@ -70,10 +73,10 @@ object CollectionExecutor {
         def input(edges: DataFrame, delta: DataFrame) =
           (ckpt(prepare(program, edges)), prepareDelta(program, delta))
         def scratch(in: (DataFrame, DataFrame)) =
-          ScratchRun.run(spark, program, verts, in._1)
+          ScratchRun.run(program, verts, in._1)
         def advance(prev: RunResult, in: (DataFrame, DataFrame)) =
-          DifferentialRun.run(spark, program, verts, in._1, in._2, prev)
-        def counters(state: RunResult) = (state.iterations, state.workRows)
+          DifferentialRun.run(spark, program, in._1, in._2, prev)
+        def log(state: RunResult) = Some(state.log)
         def result(state: RunResult) =
           state.finalState.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
       })
@@ -115,13 +118,13 @@ object CollectionExecutor {
       state = Some(next)
       optimizer.foreach(_.observe(runDiff, if (runDiff) deltaCnt else edgeCnt, ms))
 
-      val (iterations, workRows) = step.counters(next)
-      stats += ViewStat(t, collection.viewNames(t), runDiff, ms, edgeCnt,
-                        deltaCnt, iterations, workRows)
+      val stat = ViewStat(t, collection.viewNames(t), runDiff, ms, edgeCnt, deltaCnt,
+                          step.log(next))
+      stats += stat
       if (sys.env.contains("REPRO_VERBOSE"))
         Console.err.println(
           f"[exec] ${step.name}%-4s view=$t%3d mode=${if (runDiff) "diff" else "scratch"}%-7s " +
-          f"ms=$ms%6d |E|=$edgeCnt%7d |δ|=$deltaCnt%6d iters=$iterations%3d work=$workRows%8d")
+          f"ms=$ms%6d |E|=$edgeCnt%7d |δ|=$deltaCnt%6d iters=${stat.iterations}%3d work=${stat.workRows}%8d")
       if (keepResults) results += step.result(next)
     }
     (stats.result(), results.result())

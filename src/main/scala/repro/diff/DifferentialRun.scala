@@ -1,7 +1,11 @@
 package repro.diff
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import java.util.Arrays
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
+import scala.jdk.CollectionConverters._
 import Engine._
 import VertexProgram.neq
 
@@ -29,163 +33,149 @@ import VertexProgram.neq
   * divergence — after that the run provably mirrors the stored trace, so
   * the final state is the stored final state.
   *
-  * Affected sets are broadcast, so per-iteration cost scales with the size
-  * of the computation-footprint difference, not |V| — this is the
+  * The stored trace is the driver-side [[Trace]] arrangement, broadcast
+  * once per view; affected sets, divergence sets and change-points live on
+  * the driver too, while E_t stays distributed. An iteration is one Spark
+  * query over the cached edges with a single action (collecting |Affected|
+  * rows), plus one edge query for `N_out(Diff_{i-1})` when the previous
+  * iteration diverged — so its cost tracks the size of the
+  * computation-footprint difference, not the trace length. This is the
   * computation sharing the paper's Table 2 / Figure 6 measure.
   */
 object DifferentialRun {
 
-  def run(spark: SparkSession, program: VertexProgram, vertices: DataFrame,
+  /** Schema of the one null message per affected vertex. */
+  private val seedSchema =
+    StructType(Seq(StructField("dst", LongType), StructField("__m", DoubleType)))
+
+  def run(spark: SparkSession, program: VertexProgram,
           preparedEdges: DataFrame, preparedDelta: DataFrame,
           prev: RunResult): RunResult = {
 
-    if (preparedDelta.isEmpty) return prev.copy(iterations = 0, workRows = 0L)
+    val delta = preparedDelta.select("src", "dst").collect()
+    if (delta.isEmpty) return prev.copy(log = RunLog(Nil, Exit.EmptyDelta, 0L))
+
+    val sc = spark.sparkContext
+    val stored = sc.broadcast(prev.trace)
+    /** N_out(vs), sorted. */
+    def nOut(vs: Array[Long]): Array[Long] =
+      if (vs.isEmpty) Array.empty
+      else {
+        val b = sc.broadcast(vs)
+        try vidSet(preparedEdges.where(isIn(b)(col("src"))).select("dst").collect().map(_.getLong(0)))
+        finally b.destroy()
+      }
+    /** N_out(s) and the sources of the in-edges of t ∪ N_out(s), sorted,
+      * from one edge query.
+      */
+    def outAndIn(s: Array[Long], t: Array[Long]): (Array[Long], Array[Long]) = {
+      val bs = sc.broadcast(s)
+      val bt = sc.broadcast(t)
+      val outS = preparedEdges.where(isIn(bs)(col("src"))).select(col("dst").as("__w"))
+      val inT = preparedEdges.where(isIn(bt)(col("dst")))
+        .select(lit(false).as("isOut"), col("src").as("vid"))
+      val rows =
+        try
+          (if (s.isEmpty) inT
+           else outS.select(lit(true).as("isOut"), col("__w").as("vid"))
+             .unionByName(inT)
+             .unionByName(fresh(preparedEdges).join(outS.distinct(), col("dst") === col("__w"))
+               .select(lit(false).as("isOut"), col("src").as("vid"))))
+            .collect()
+        finally { bs.destroy(); bt.destroy() }
+      val (out, in) = rows.partition(_.getBoolean(0))
+      (vidSet(out.map(_.getLong(1))), vidSet(in.map(_.getLong(1))))
+    }
 
     // ---- perpetually-affected set W and the freeze horizon L ------------
-    val dstOfDelta = preparedDelta.select(col("dst").as("vid"))
-    val w = ckpt(
-      (if (!program.degreeDependent) dstOfDelta
-       else {
-         val srcs = preparedDelta.select(col("src").as("__s")).distinct()
-         dstOfDelta.unionByName(
-           preparedEdges
-             .join(broadcast(srcs), preparedEdges("src") === col("__s"))
-             .select(col("dst").as("vid")))
-       }).distinct())
-
-    val ninW = preparedEdges
-      .join(broadcast(w.select(col("vid").as("__wv"))), preparedEdges("dst") === col("__wv"))
-      .select(col("src").as("vid"))
-    val lSet = fresh(
-      w.unionByName(ninW)
-        .unionByName(preparedDelta.select(col("src").as("vid")))
-        .distinct())
-    val lRow = prev.trace
-      .join(broadcast(lSet), Seq("vid"))
-      .agg(max(col("iter")).as("m"))
-      .collect()(0)
-    val freezeL = if (lRow.isNullAt(0)) 0 else lRow.getInt(0)
-
-    // Frames reused on every "quiet" iteration (no divergence yet): the
-    // examined set is exactly W, so its in-edge slice and source-id set are
-    // loop-invariant and worth caching once per view.
-    val wEdgesIn = ckpt(
-      preparedEdges
-        .join(broadcast(w.select(col("vid").as("__av"))),
-              preparedEdges("dst") === col("__av"))
-        .drop("__av"))
-    val wSrcIds = ckpt(
-      if (program.aggIsMin) wEdgesIn.select(col("src").as("vid"))
-      else wEdgesIn.select(col("src").as("vid")).distinct())
+    val deltaSrc = vidSet(delta.map(_.getLong(0)))
+    val deltaDst = vidSet(delta.map(_.getLong(1)))
+    // W = dst(δ), plus N_out(src(δ)) when degree-dependent.
+    val (outDelta, ninW) =
+      outAndIn(if (program.degreeDependent) deltaSrc else Array.empty, deltaDst)
+    val w = vidSet(deltaDst ++ outDelta)
+    val freezeL = prev.trace.lastChange(w ++ ninW ++ deltaSrc)
 
     // ---- iteration replay ----------------------------------------------
-    var diffPrev    = emptyState(spark)
-    var diffPrevCnt = 0L
+    var diverged = Map.empty[Long, Double] // Diff_{i-1}: vid → new value
+    var fanout: Array[Long] = null         // N_out(Diff_{i-1}), if queried already
     var prevPrevCnt = 0L
     var prevCpCnt   = -1L
     var ldyn        = -1 // cached dynamic freeze horizon; -1 = stale
-    val affectedLogParts = Seq.newBuilder[DataFrame]
-    val changeParts      = Seq.newBuilder[DataFrame]
+    val affectedLog = IndexedSeq.newBuilder[Array[Long]]
+    val changes     = Seq.newBuilder[(Long, Int, Double)]
+    val iterStats   = Seq.newBuilder[IterStat]
     var i = 0
     var work = 0L
-    var done = false
+    var exit: Option[Exit] = None
     val cap = program.fixedIterations.getOrElse(program.maxIterations)
 
-    while (!done && i < cap) {
+    while (exit.isEmpty && i < cap) {
       i += 1
-      val iterT0 = System.nanoTime()
       // Examined set: W, downstream of the previous divergence, and the
       // previous divergence itself — a diverged vertex whose inputs match
       // the stored run again must be *re-examined* so its revert to the
       // stored value lands in the new trace as a change-point.
-      val fanout =
-        if (diffPrevCnt == 0) w
-        else w
-          .unionByName(
-            preparedEdges
-              .join(broadcast(diffPrev.select(col("vid").as("__dv"))),
-                    preparedEdges("src") === col("__dv"))
-              .select(col("dst").as("vid")))
-          .unionByName(diffPrev.select("vid"))
-      val quiet = diffPrevCnt == 0
-      val affected = if (quiet) w else ckpt(fanout.distinct())
-      affectedLogParts += affected.select(col("vid"), lit(i).as("iter"))
+      val affected =
+        if (diverged.isEmpty) w
+        else {
+          if (fanout == null) fanout = nOut(vidSet(diverged.keys))
+          vidSet(w ++ fanout ++ diverged.keys)
+        }
+      fanout = null
+      affectedLog += affected
 
       // Recompute affected vertices from their full current in-neighborhood
       // at states of iteration i-1 (stored ⊕ previous-iteration overrides).
-      val edgesIn =
-        if (quiet) wEdgesIn
-        else preparedEdges
-          .join(broadcast(affected.select(col("vid").as("__av"))),
-                preparedEdges("dst") === col("__av"))
-          .drop("__av")
-      // min-aggregation is idempotent, so duplicate source lookups are
-      // harmless and the dedup shuffle can be skipped; sum (PageRank)
-      // must deduplicate or messages would double.
-      val srcIds =
-        if (quiet) wSrcIds
-        else if (program.aggIsMin) fresh(edgesIn.select(col("src").as("vid")))
-        else fresh(edgesIn.select(col("src").as("vid")).distinct())
-      val srcStored = storedValueAt(program, prev.trace, srcIds, i - 1)
-      val srcVals = (
-        if (quiet) srcStored
-        else srcStored
-          .join(broadcast(diffPrev.select(col("vid"), col("value").as("__ov"))),
-                Seq("vid"), "left")
-          .select(col("vid"), coalesce(col("__ov"), col("value")).as("value"))
-        ).select(col("vid").as("__sv"), col("value").as("__val"))
-      val msgs = edgesIn
-        .join(broadcast(srcVals), edgesIn("src") === col("__sv"))
+      // One null message per affected vertex gives a vertex without
+      // in-edges its apply(init, null), and makes the collect return
+      // exactly one row per affected vertex.
+      val ba = sc.broadcast(affected)
+      val bo = sc.broadcast(diverged)
+      def before(vid: Column): Column =
+        coalesce(udf((v: Long) => bo.value.get(v)).apply(vid), stateAt(program, stored, i - 1)(vid))
+      val msgs = preparedEdges
+        .where(isIn(ba)(col("dst")))
         .select(col("dst"),
-                program.msgExpr(col("__val"), col("weight"), col("srcdeg")).as("__m"))
-      val agg = msgs.groupBy("dst").agg(program.aggColumn(col("__m")).as("__agg"))
-      val newCur = affected
-        .join(broadcast(agg), affected("vid") === agg("dst"), "left")
-        .select(col("vid"),
-                program.applyExpr(program.initExpr(col("vid")).cast("double"),
-                                  col("__agg")).cast("double").as("value"))
+                program.msgExpr(before(col("src")), col("weight"), col("srcdeg"))
+                  .cast("double").as("__m"))
+      val seeds = spark.createDataFrame(affected.toSeq.map(v => Row(v, null)).asJava, seedSchema)
+      val rows =
+        try
+          msgs.unionByName(seeds)
+            .groupBy("dst").agg(program.aggColumn(col("__m")).as("__agg"))
+            .select(col("dst").as("vid"),
+                    program.applyExpr(program.initExpr(col("dst")).cast("double"),
+                                      col("__agg")).cast("double").as("value"))
+            .select(col("vid"), col("value"),
+                    neq(col("value"), stateAt(program, stored, i)(col("vid"))).as("__d"),
+                    neq(col("value"), before(col("vid"))).as("__c"))
+            .collect()
+        finally { ba.destroy(); bo.destroy() }
+      work += rows.length
 
-      val storedBoth = storedPairAt(program, prev.trace, affected, i)
-      // |joined| == |affected| (left joins over the affected key set), so
-      // the materialization count doubles as the work metric.
-      val base = newCur.join(broadcast(storedBoth), Seq("vid"))
-      val (joined, jCnt) = ckptCounted(
-        if (quiet)
-          base.select(col("vid"), col("value"), col("__sc"), col("__sp").as("__np"))
-        else
-          base
-            .join(broadcast(diffPrev.select(col("vid"), col("value").as("__op"))),
-                  Seq("vid"), "left")
-            .select(col("vid"), col("value"), col("__sc"),
-                    coalesce(col("__op"), col("__sp")).as("__np")))
-      work += jCnt
+      val diffCur = rows.iterator.filter(_.getBoolean(2)).map(r => r.getLong(0) -> r.getDouble(1)).toMap
+      val cps = rows.filter(_.getBoolean(3))
+      changes ++= cps.map(r => (r.getLong(0), i, r.getDouble(1)))
+      val dCnt  = diffCur.size.toLong
+      val cpCnt = cps.length.toLong
+      iterStats += IterStat(affected.length, dCnt, cpCnt)
 
-      // diffCur and the change-points are cheap filters over the cached
-      // `joined`; one aggregation job yields both cardinalities.
-      val diffCur = joined.where(neq(col("value"), col("__sc"))).select("vid", "value")
-      val cntRow = joined.agg(
-        sum(neq(col("value"), col("__sc")).cast("long")).as("d"),
-        sum(neq(col("value"), col("__np")).cast("long")).as("c")).collect()(0)
-      val dCnt  = if (cntRow.isNullAt(0)) 0L else cntRow.getLong(0)
-      val cpCnt = if (cntRow.isNullAt(1)) 0L else cntRow.getLong(1)
-      changeParts += joined.where(neq(col("value"), col("__np")))
-        .select(col("vid"), lit(i).as("iter"), col("value"))
-
-      prevPrevCnt = diffPrevCnt
-      diffPrev = diffCur
-      diffPrevCnt = dCnt
-      if (sys.env.contains("REPRO_VERBOSE2"))
-        Console.err.println(f"[diff-iter] i=$i%3d quiet=$quiet affected=$jCnt%6d d=$dCnt c=$cpCnt ms=${(System.nanoTime() - iterT0) / 1000000}%5d")
+      prevPrevCnt = diverged.size
+      diverged = diffCur
 
       // Exit A — nothing diverged for two consecutive iterations and the
       // stored inputs of W are frozen: the rest of the run provably mirrors
       // the stored trace exactly.
-      if (dCnt == 0 && prevPrevCnt == 0 && i >= freezeL + 1) done = true
-      // Exit B — the new run is stationary (no change-points, so
-      // newState_i == newState_{i-1}) and the stored trace is frozen
-      // everywhere: every further iteration repeats this one, with the
-      // divergence set Diff_i as the permanent override of the stored run.
-      if (cpCnt == 0 && i >= math.max(prev.lastIter, freezeL)) done = true
+      if (dCnt == 0 && prevPrevCnt == 0 && i >= freezeL + 1) exit = Some(Exit.A)
+      // Exit B — the new run is stationary and the stored trace is frozen
+      // everywhere: no affected vertex changed and no stored change-point
+      // lies at i or later (i > lastIter), so newState_i == newState_{i-1}
+      // and every further iteration repeats this one, with the divergence
+      // set Diff_i as the permanent override of the stored run. At
+      // i == lastIter a stored change at i can still reach an affected
+      // vertex at i + 1.
+      else if (cpCnt == 0 && i > prev.lastIter) exit = Some(Exit.B)
       // Exit C — dynamic freeze horizon. Two consecutive stationary
       // iterations and the stored trace frozen *on the closed neighborhood
       // of the divergence region* (Diff ∪ N_out(Diff) ∪ affected ∪ their
@@ -194,48 +184,39 @@ object DifferentialRun {
       // the stored run verbatim. This is what keeps the replay cost
       // proportional to the locality of the change, not the trace length
       // (the paper's z_jk sharing argument).
-      if (!done && cpCnt == 0 && prevCpCnt == 0) {
+      else if (cpCnt == 0 && prevCpCnt == 0) {
         if (ldyn < 0) {
-          val dv = diffPrev.select(col("vid").as("__dv"))
-          val nOut = preparedEdges
-            .join(broadcast(dv), preparedEdges("src") === col("__dv"))
-            .select(col("dst").as("vid"))
-          val a2 = ckpt(
-            affected.select("vid").unionByName(nOut)
-              .unionByName(diffPrev.select("vid")).distinct())
-          val nIn = preparedEdges
-            .join(broadcast(a2.select(col("vid").as("__rv"))),
-                  preparedEdges("dst") === col("__rv"))
-            .select(col("src").as("vid"))
-          val region = fresh(a2.unionByName(nIn).distinct())
-          val r = prev.trace.join(broadcast(region), Seq("vid"))
-            .agg(max(col("iter")).as("m")).collect()(0)
-          ldyn = if (r.isNullAt(0)) 0 else r.getInt(0)
+          val dv = vidSet(diverged.keys)
+          val (out, in) = outAndIn(dv, vidSet(affected ++ dv))
+          fanout = out // N_out(Diff_i) is also the next iteration's fan-out
+          ldyn = prev.trace.lastChange(affected ++ dv ++ out ++ in)
         }
-        if (ldyn < i) done = true
+        if (ldyn < i) exit = Some(Exit.C)
       }
       if (cpCnt != 0) ldyn = -1
       prevCpCnt = cpCnt
     }
+    stored.destroy()
 
     // ---- assemble result ------------------------------------------------
+    val newTrace = prev.trace.patch(affectedLog.result(), changes.result())
+    requireConverged(program, newTrace)
     val newFinal =
-      if (diffPrevCnt == 0) prev.finalState
-      else ckpt(
-        fresh(prev.finalState)
-          .join(broadcast(diffPrev.select(col("vid"), col("value").as("__fv"))),
-                Seq("vid"), "left")
-          .select(col("vid"), coalesce(col("__fv"), col("value")).as("value")))
-
-    val affectedLog = ckpt(affectedLogParts.result().reduce(_ unionByName _))
-    val changes = changeParts.result().reduce(_ unionByName _)
-    val newTrace = ckpt(
-      fresh(prev.trace)
-        .join(affectedLog, Seq("vid", "iter"), "left_anti")
-        .unionByName(changes))
-    val lastRow = newTrace.agg(max(col("iter")).as("m")).collect()(0)
-    val newLast = if (lastRow.isNullAt(0)) 0 else lastRow.getInt(0)
-
-    RunResult(newFinal, newTrace, newLast, i, work)
+      if (diverged.isEmpty) prev.finalState
+      else {
+        val bf = sc.broadcast(diverged)
+        try ckpt(prev.finalState.select(
+          col("vid"),
+          coalesce(udf((v: Long) => bf.value.get(v)).apply(col("vid")), col("value")).as("value")))
+        finally bf.destroy()
+      }
+    RunResult(newFinal, newTrace, RunLog(iterStats.result(), exit.getOrElse(Exit.Fixed), work))
   }
+
+  /** Distinct vids, sorted for [[isIn]]. */
+  private def vidSet(vs: Iterable[Long]): Array[Long] = vs.toArray.distinct.sorted
+
+  /** Membership of a column's vids in a broadcast [[vidSet]]. */
+  private def isIn(set: Broadcast[Array[Long]])(vid: Column): Column =
+    udf((v: Long) => Arrays.binarySearch(set.value, v) >= 0).apply(vid)
 }

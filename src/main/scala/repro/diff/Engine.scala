@@ -1,6 +1,7 @@
 package repro.diff
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** Shared plumbing for the scratch and differential executors. */
@@ -40,21 +41,65 @@ object Engine {
     (df.sparkSession.createDataFrame(rdd, df.schema), n)
   }
 
+  /** How a run's iteration loop ended. */
+  sealed trait Exit
+  object Exit {
+    /** Differential exit A: no divergence for two iterations past the
+      * freeze horizon of W's stored inputs.
+      */
+    case object A extends Exit
+    /** Differential exit B: stationary, and the stored trace frozen. */
+    case object B extends Exit
+    /** Differential exit C: stationary for two iterations, and the stored
+      * trace frozen on the divergence region's closed neighborhood.
+      */
+    case object C extends Exit
+    /** Differential run on an empty difference set: nothing to replay. */
+    case object EmptyDelta extends Exit
+    /** A scratch iteration changed nothing (the fixpoint). */
+    case object Converged extends Exit
+    /** The program's fixed iteration count was run. */
+    case object Fixed extends Exit
+  }
+
+  /** One iteration's counts: vertices recomputed, vertices whose value
+    * diverged from the stored run (0 for scratch, which has none), and
+    * change-points recorded in the new trace.
+    */
+  final case class IterStat(affected: Long, diverged: Long, changes: Long)
+
+  /** What a run did, for the per-view record.
+    *
+    * @param iterStats one entry per executed iteration
+    * @param exit      how the loop ended
+    * @param workRows  Σ over executed iterations of the recomputed-vertex
+    *                  rows the engine produced — the "computation footprint
+    *                  touched", used by tests to prove sharing happens
+    */
+  final case class RunLog(iterStats: Seq[IterStat], exit: Exit, workRows: Long) {
+    def iterations: Int = iterStats.size
+  }
+
   /** Result of running a program on one view.
     *
     * @param finalState converged `vid, value` frame
-    * @param trace      per-iteration change-points `vid, iter, value` —
-    *                   the DD difference representation of the iteration
-    *                   sequence (iteration-0 inits are implicit: they are
-    *                   computable from `initExpr`)
-    * @param lastIter   largest iteration with any change (trace horizon)
-    * @param iterations number of iterations actually executed
-    * @param workRows   Σ over executed iterations of recomputed-vertex
-    *                   counts — the "computation footprint touched", used
-    *                   by tests to prove sharing happens
+    * @param trace      the run's per-iteration change-points, arranged on
+    *                   the driver — the DD difference representation of the
+    *                   iteration sequence (iteration-0 inits are implicit:
+    *                   they are computable from `initExpr`)
     */
-  final case class RunResult(finalState: DataFrame, trace: DataFrame,
-                             lastIter: Int, iterations: Int, workRows: Long)
+  final case class RunResult(finalState: DataFrame, trace: Trace, log: RunLog) {
+    /** Largest iteration with any change (trace horizon). */
+    def lastIter: Int = trace.lastIter
+  }
+
+  /** Fail a fixpoint program whose run still changed at its iteration cap,
+    * rather than return an unconverged state.
+    */
+  def requireConverged(program: VertexProgram, trace: Trace): Unit =
+    if (program.fixedIterations.isEmpty && trace.lastIter >= program.maxIterations)
+      throw new IllegalStateException(
+        s"${program.name} did not converge within maxIterations = ${program.maxIterations}")
 
   /** Edges prepared for a program: symmetrized when undirected (directed
     * eids e map to 2e / 2e+1 so diffs stay keyed), with a `srcdeg` column
@@ -91,63 +136,11 @@ object Engine {
   def initialState(program: VertexProgram, vertices: DataFrame): DataFrame =
     vertices.select(col("vid"), program.initExpr(col("vid")).cast("double").as("value"))
 
-  /** An empty `vid, iter, value` trace. */
-  def emptyTrace(spark: SparkSession): DataFrame = {
-    import org.apache.spark.sql.types._
-    spark.createDataFrame(
-      spark.sparkContext.emptyRDD[org.apache.spark.sql.Row],
-      StructType(Seq(StructField("vid", LongType), StructField("iter", IntegerType),
-                     StructField("value", DoubleType))))
-  }
-
-  /** An empty `vid, value` state. */
-  def emptyState(spark: SparkSession): DataFrame = {
-    import org.apache.spark.sql.types._
-    spark.createDataFrame(
-      spark.sparkContext.emptyRDD[org.apache.spark.sql.Row],
-      StructType(Seq(StructField("vid", LongType), StructField("value", DoubleType))))
-  }
-
-  /** Stored states of the vertices in `s` at iterations `j` and `j-1` in a
-    * single trace pass: returns `vid, __sc` (value at j), `__sp` (value at
-    * j-1), falling back to init. The `-1` ordering sentinel keeps `max_by`
-    * away from null ordering values.
+  /** State at iteration `j` of the run whose trace is `trace`, as a column
+    * over vertex ids: the latest change-point ≤ j, else init. The trace is
+    * read through a broadcast, so the lookup runs no Spark job.
     */
-  def storedPairAt(program: VertexProgram, trace: DataFrame, s: DataFrame,
-                   j: Int): DataFrame = {
-    val hits = fresh(
-      trace
-        .where(col("iter") <= j)
-        .join(broadcast(fresh(s.select("vid"))), Seq("vid"))
-        .groupBy("vid")
-        .agg(
-          max_by(col("value"), col("iter")).as("__tc"),
-          max_by(when(col("iter") <= j - 1, col("value")),
-                 coalesce(when(col("iter") <= j - 1, col("iter")), lit(-1))).as("__tp")))
-    fresh(
-      fresh(s.select("vid"))
-        .join(broadcast(hits), Seq("vid"), "left")
-        .select(col("vid"),
-                coalesce(col("__tc"), program.initExpr(col("vid")).cast("double")).as("__sc"),
-                coalesce(col("__tp"), program.initExpr(col("vid")).cast("double")).as("__sp")))
-  }
-
-  /** Stored state of the vertices in `s` at iteration `j`: latest trace
-    * change ≤ j, falling back to init. `s` must have a `vid` column and is
-    * assumed small (it is broadcast).
-    */
-  def storedValueAt(program: VertexProgram, trace: DataFrame, s: DataFrame,
-                    j: Int): DataFrame = {
-    val hits = fresh(
-      trace
-        .where(col("iter") <= j)
-        .join(broadcast(fresh(s.select("vid"))), Seq("vid"))
-        .groupBy("vid")
-        .agg(max_by(col("value"), col("iter")).as("__tv")))
-    fresh(
-      fresh(s.select("vid"))
-        .join(broadcast(hits), Seq("vid"), "left")
-        .select(col("vid"),
-                coalesce(col("__tv"), program.initExpr(col("vid")).cast("double")).as("value")))
-  }
+  def stateAt(program: VertexProgram, trace: Broadcast[Trace], j: Int)(vid: Column): Column =
+    coalesce(udf((v: Long) => trace.value.at(v, j)).apply(vid),
+             program.initExpr(vid).cast("double"))
 }

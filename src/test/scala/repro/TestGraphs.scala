@@ -1,7 +1,8 @@
 package repro
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import scala.util.Random
+import repro.diff.VertexProgram
 import repro.graph.PropertyGraph
 import repro.views.ViewCollection
 
@@ -74,5 +75,19 @@ object TestGraphs {
   def vertices(spark: SparkSession, nV: Int): DataFrame = {
     import spark.implicits._
     (0 until nV).map(_.toLong).toDF("vid")
+  }
+
+  /** `p` with its fixpoint iteration cap set to `cap`. */
+  def withMaxIterations(p: VertexProgram, cap: Int): VertexProgram = new VertexProgram {
+    val name = p.name
+    def initExpr(vid: Column): Column = p.initExpr(vid)
+    def msgExpr(srcValue: Column, weight: Column, srcDeg: Column): Column =
+      p.msgExpr(srcValue, weight, srcDeg)
+    val aggIsMin = p.aggIsMin
+    def applyExpr(init: Column, agg: Column): Column = p.applyExpr(init, agg)
+    override val degreeDependent = p.degreeDependent
+    override val undirected = p.undirected
+    override val fixedIterations = p.fixedIterations
+    override val maxIterations = cap
   }
 }

@@ -1,7 +1,9 @@
 package repro.diff
 
 import repro.{ReproSpec, TestGraphs}
-import repro.algorithms.{Bfs, Reference, Wcc}
+import repro.algorithms.{Bfs, PageRankProg, Reference, Sssp, Wcc}
+import repro.graph.GraphGen
+import repro.views.ViewCollection
 import scala.util.Random
 
 /** End-to-end executor behavior: all three modes agree on results; the
@@ -63,5 +65,45 @@ class CollectionExecutorSpec extends ReproSpec {
     // Inclusion chain ⇒ additions only after view 0.
     assert(coll.totalDiffs ==
       g.resolved.where(org.apache.spark.sql.functions.col("duration") <= 34).count())
+  }
+
+  test("a Graphsurge-ordered GVDL collection runs differentially to the reference") {
+    val g = GraphGen.citationGraph(spark, nV = 60, nE = 240)
+    // Three-decade windows sliding by 5 years; source 30 (year 1996) is in all.
+    val windows = Seq(1970, 1975, 1980, 1985)
+    val inWindow = (a: Int, y: Int) => y >= a && y <= a + 29
+    val coll = ViewCollection.fromGvdl(g,
+      "create view collection C_sl on Citations " + windows.map { a =>
+        s"[w$a: src.year >= $a and src.year <= ${a + 29} and dst.year >= $a and dst.year <= ${a + 29}]"
+      }.mkString(" "),
+      ViewCollection.GraphsurgeOrder)
+    val year = g.nodes.select("id", "year").collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+    val edges = g.edges.select("src", "dst", "weight").collect()
+      .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSeq
+    val verts = year.keys.toSeq.sorted
+    for (prog <- Seq(Wcc(), Bfs(30L), Sssp(30L), PageRankProg(4))) {
+      val run = CollectionExecutor.run(spark, prog, g.vertexIds, coll,
+                                       CollectionExecutor.DiffOnly, keepResults = true)
+      assert(run.stats.drop(1).forall(_.ranDiff))
+      for (t <- 0 until coll.numViews) {
+        val a = coll.viewNames(t).drop(1).toInt
+        val es = edges.filter { case (s, d, _) => inWindow(a, year(s)) && inWindow(a, year(d)) }
+        val pairs = es.map(e => (e._1, e._2))
+        val exp = prog match {
+          case Wcc()           => Reference.wcc(verts, pairs)
+          case Bfs(src)        => Reference.bfs(verts, pairs, src)
+          case Sssp(src)       => Reference.bellmanFord(verts, es, src)
+          case PageRankProg(k) => Reference.pageRank(verts, pairs, k)
+          case other           => fail(s"no reference for ${other.name}")
+        }
+        val got = run.results(t)
+        assert(got.keySet == exp.keySet, s"${prog.name} view ${coll.viewNames(t)}")
+        got.foreach { case (v, x) =>
+          val y = exp(v)
+          assert((x.isInfinity && y.isInfinity) || math.abs(x - y) < 1e-6,
+                 s"${prog.name} view ${coll.viewNames(t)} vertex $v: got $x expected $y")
+        }
+      }
+    }
   }
 }

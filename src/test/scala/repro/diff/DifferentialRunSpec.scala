@@ -80,6 +80,7 @@ class DifferentialRunSpec extends ReproSpec {
                                      coll, CollectionExecutor.DiffOnly, keepResults = true)
     assert(run.stats(1).iterations == 0)
     assert(run.stats(2).iterations == 0)
+    assert(run.stats.drop(1).forall(_.log.map(_.exit).contains(Engine.Exit.EmptyDelta)))
     assertClose(run.results(2), referenceFor(Wcc(), 20, edges), "identical view")
   }
 
@@ -95,9 +96,38 @@ class DifferentialRunSpec extends ReproSpec {
     run.stats.drop(1).foreach { s =>
       assert(s.workRows < scratchWork / 2,
              s"view ${s.t}: differential work ${s.workRows} not < half of scratch $scratchWork")
+      // The per-iteration record accounts for every recomputed row.
+      assert(s.log.get.iterStats.map(_.affected).sum == s.workRows, s"view ${s.t}")
     }
     for (t <- viewLists.indices)
       assertClose(run.results(t), referenceFor(Bfs(0L), nV, viewLists(t)), s"view $t")
+  }
+
+  /** A 3-vertex path and its extension to 10 vertices. */
+  private val short = Vector(E(0, 0, 1, 1.0), E(1, 1, 2, 1.0))
+  private val long  = short ++ (2 until 9).map(k => E(k, k, k + 1, 1.0))
+
+  test("a path extended past the stored run's last change is replayed in full") {
+    // View 0's run last changes at iteration 2 (vertex 2), which then
+    // reaches vertex 3 through view 1's new edge only at iteration 3.
+    val coll = TestGraphs.collectionFrom(spark, "extend", Vector(short, long))
+    val run = CollectionExecutor.run(spark, Bfs(0L), TestGraphs.vertices(spark, 10),
+                                     coll, CollectionExecutor.DiffOnly, keepResults = true)
+    assertClose(run.results(1), referenceFor(Bfs(0L), 10, long), "extended path")
+  }
+
+  test("a differential view that runs past maxIterations fails loudly") {
+    // BFS with a cap of 3: view 0 (path 0→1→2) converges at iteration 3;
+    // view 1 extends the path to 10 vertices, which needs 10.
+    val prog  = TestGraphs.withMaxIterations(Bfs(0L), 3)
+    val verts = TestGraphs.vertices(spark, 10)
+    val view0 = CollectionExecutor.run(spark, prog, verts,
+      TestGraphs.collectionFrom(spark, "cap0", Vector(short)), CollectionExecutor.DiffOnly)
+    assert(view0.stats.head.log.map(_.exit).contains(Engine.Exit.Converged))
+    val err = intercept[IllegalStateException](
+      CollectionExecutor.run(spark, prog, verts,
+        TestGraphs.collectionFrom(spark, "cap", Vector(short, long)), CollectionExecutor.DiffOnly))
+    assert(err.getMessage.contains("BFS") && err.getMessage.contains("maxIterations = 3"))
   }
 
   test("disjoint views (complete replacement) still produce correct results") {

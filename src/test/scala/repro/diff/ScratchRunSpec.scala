@@ -1,5 +1,6 @@
 package repro.diff
 
+import org.apache.spark.sql.functions.col
 import repro.{ReproSpec, TestGraphs}
 import repro.TestGraphs.E
 import repro.algorithms._
@@ -14,7 +15,7 @@ class ScratchRunSpec extends ReproSpec {
   private def runProgram(prog: VertexProgram, nV: Int, edges: Seq[E]): Map[Long, Double] = {
     val verts = TestGraphs.vertices(spark, nV)
     val prepared = Engine.prepare(prog, TestGraphs.edgesDF(spark, edges))
-    val res = ScratchRun.run(spark, prog, verts, prepared)
+    val res = ScratchRun.run(prog, verts, prepared)
     res.finalState.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
   }
 
@@ -64,12 +65,21 @@ class ScratchRunSpec extends ReproSpec {
     val edges = TestGraphs.randomEdges(rnd, nV, 90)
     val prog  = Wcc()
     val prepared = Engine.prepare(prog, TestGraphs.edgesDF(spark, edges))
-    val res = ScratchRun.run(spark, prog, TestGraphs.vertices(spark, nV), prepared)
-    val replayed = Engine
-      .storedValueAt(prog, res.trace, TestGraphs.vertices(spark, nV), res.lastIter)
+    val res = ScratchRun.run(prog, TestGraphs.vertices(spark, nV), prepared)
+    val trace = spark.sparkContext.broadcast(res.trace)
+    val replayed = TestGraphs.vertices(spark, nV)
+      .select(col("vid"), Engine.stateAt(prog, trace, res.lastIter)(col("vid")))
       .collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
     val fin = res.finalState.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
     assert(replayed == fin)
+  }
+
+  test("a fixpoint program that reaches maxIterations fails loudly") {
+    // BFS along a 10-vertex path needs 9 iterations, then one changeless.
+    val path = (0 until 9).map(k => E(k, k, k + 1, 1.0))
+    val err = intercept[IllegalStateException](
+      runProgram(TestGraphs.withMaxIterations(Bfs(0L), 3), 10, path))
+    assert(err.getMessage.contains("BFS") && err.getMessage.contains("maxIterations = 3"))
   }
 
   test("parallel edges are honored as a multiset (PageRank)") {
