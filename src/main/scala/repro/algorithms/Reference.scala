@@ -76,12 +76,14 @@ object Reference {
   }
 
   /** PageRank, damping 0.85, `iters` synchronous iterations, no dangling
-    * redistribution: pr_i(v) = 0.15 + 0.85 Σ_in pr_{i-1}(u)/outdeg(u).
+    * redistribution: pr_0(v) = init, pr_i(v) = 0.15 + 0.85 Σ_in
+    * pr_{i-1}(u)/outdeg(u).
     */
-  def pageRank(vertices: Seq[Long], edges: Seq[(Long, Long)], iters: Int): Map[Long, Double] = {
+  def pageRank(vertices: Seq[Long], edges: Seq[(Long, Long)], iters: Int,
+               init: Double = 0.15): Map[Long, Double] = {
     val outDeg = edges.groupBy(_._1).map { case (k, v) => k -> v.size }
     val inAdj  = edges.groupBy(_._2).map { case (k, v) => k -> v.map(_._1) }
-    var pr = vertices.map(_ -> 0.15).toMap
+    var pr = vertices.map(_ -> init).toMap
     for (_ <- 1 to iters) {
       pr = vertices.map { v =>
         v -> (0.15 + 0.85 * inAdj.getOrElse(v, Nil).map(u => pr(u) / outDeg(u)).sum)

@@ -30,8 +30,6 @@ import repro.diff.CollectionExecutor
   */
 object Scc {
 
-  private val SingletonOffset = 1L << 40
-
   /** Coloring SCC from scratch. Returns `vid, scc` (canonical ids). */
   def scratch(spark: SparkSession, vertices: DataFrame, edges: DataFrame): DataFrame = {
     var active = vertices.select("vid").transform(repro.diff.Engine.ckpt)
@@ -154,11 +152,13 @@ object Scc {
       .where(col("__cs") === col("__cd"))
       .select(col("__cs").as("scc"))
       .distinct()
+    // Members of a broken SCC become singletons keyed by their own vid.
+    // SCC ids are canonical (the minimum member vid), so every super-node
+    // id is the vid of one of its own members and no two collide.
     val mapping = sByVid
       .join(broadcast(broken.withColumn("__b", lit(1))), Seq("scc"), "left")
       .select(col("vid"),
-              when(col("__b").isNotNull, col("vid") + SingletonOffset)
-                .otherwise(col("scc")).as("superid"))
+              when(col("__b").isNotNull, col("vid")).otherwise(col("scc")).as("superid"))
       .transform(repro.diff.Engine.ckpt)
     val qEdges = edges
       .join(mapping.select(col("vid").as("__s"), col("superid").as("qsrc")), col("src") === col("__s"))
@@ -186,7 +186,6 @@ object Scc {
       (Seq[CollectionExecutor.ViewStat], Seq[Map[Long, Long]]) =
     CollectionExecutor.drive(collection, mode, keepResults,
       new CollectionExecutor.Step[(DataFrame, DataFrame), DataFrame, Map[Long, Long]] {
-        val name = "SCC"
         /** E_t and the `src, dst` of the edges δ deleted. */
         def input(edges: DataFrame, delta: DataFrame) =
           (edges, repro.diff.Engine.fresh(delta.where(col("diff") < 0)).select("src", "dst"))

@@ -16,7 +16,9 @@ import repro.graph.GraphGen
   */
 object Table2 {
 
-  final case class Cell(coll: String, algo: String, diffMs: Long, scratchMs: Long)
+  /** One cell: whole-collection wall-clock and Σ `workRows` per mode. */
+  final case class Cell(coll: String, algo: String, diffMs: Long, scratchMs: Long,
+                        diffWork: Long, scratchWork: Long)
 
   def run(spark: SparkSession): Seq[String] = {
     BenchUtil.configure(spark)
@@ -40,18 +42,21 @@ object Table2 {
     } yield {
       val d = CollectionExecutor.run(spark, prog, verts, coll, CollectionExecutor.DiffOnly)
       val c = CollectionExecutor.run(spark, prog, verts, coll, CollectionExecutor.ScratchOnly)
-      Cell(cName, aName, d.totalMillis, c.totalMillis)
+      Cell(cName, aName, d.totalMillis, c.totalMillis,
+           d.stats.map(_.workRows).sum, c.stats.map(_.workRows).sum)
     }
 
     val header = Seq(
       "== Table 2: diff-only vs scratch on perturbation collections ==",
       f"graph: |V|=$nV |E|=$nE views=$views (paper: Orkut 10M edges, 20 views)",
-      f"${"coll"}%-8s ${"algo"}%-5s ${"diff-only"}%10s ${"scratch"}%10s   paper (diff, scratch)")
+      f"${"coll"}%-8s ${"algo"}%-5s ${"diff-only"}%10s ${"scratch"}%10s " +
+        f"${"work diff"}%10s ${"scratch"}%10s   paper (diff, scratch)")
     val paper = Map(
       ("small", "BF") -> "1.4s, 13.5s", ("small", "PR") -> "66.5s, 136.2s",
       ("large", "BF") -> "13.0s, 25.7s", ("large", "PR") -> "281.9s, 193.2s")
     header ++ cells.map { c =>
-      f"${c.coll}%-8s ${c.algo}%-5s ${BenchUtil.fmtMs(c.diffMs)}%10s ${BenchUtil.fmtMs(c.scratchMs)}%10s   ${paper((c.coll, c.algo))}"
+      f"${c.coll}%-8s ${c.algo}%-5s ${BenchUtil.fmtMs(c.diffMs)}%10s ${BenchUtil.fmtMs(c.scratchMs)}%10s " +
+        f"${c.diffWork}%10d ${c.scratchWork}%10d   ${paper((c.coll, c.algo))}"
     }
   }
 }

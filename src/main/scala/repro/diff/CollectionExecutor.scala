@@ -13,7 +13,9 @@ import Engine._
   * scratch, according to the execution mode. Adaptive mode delegates the
   * choice to [[SplittingOptimizer]]; a scratch run replaces the stored
   * state, which is exactly a collection split. The same loop drives vertex
-  * programs ([[run]]) and SCC (`repro.algorithms.Scc.runCollection`).
+  * programs ([[run]]) and SCC (`repro.algorithms.Scc.runCollection`). For
+  * a vertex program both modes are [[DifferentialRun]]: a scratch view
+  * advances the edgeless run by every edge of the view.
   */
 object CollectionExecutor {
 
@@ -53,7 +55,6 @@ object CollectionExecutor {
     * @tparam R a view's result collected to the driver
     */
   private[repro] trait Step[I, S, R] {
-    def name: String
     /** Input for a view from E_t (canonical, checkpointed) and δ. */
     def input(edges: DataFrame, delta: DataFrame): I
     def scratch(in: I): S
@@ -69,11 +70,10 @@ object CollectionExecutor {
     val verts = ckpt(vertices)
     val (stats, results) = drive(collection, mode, keepResults,
       new Step[(DataFrame, DataFrame), RunResult, Map[Long, Double]] {
-        val name = program.name
         def input(edges: DataFrame, delta: DataFrame) =
           (ckpt(prepare(program, edges)), prepareDelta(program, delta))
         def scratch(in: (DataFrame, DataFrame)) =
-          ScratchRun.run(program, verts, in._1)
+          DifferentialRun.scratch(spark, program, verts, in._1)
         def advance(prev: RunResult, in: (DataFrame, DataFrame)) =
           DifferentialRun.run(spark, program, in._1, in._2, prev)
         def log(state: RunResult) = Some(state.log)
@@ -118,13 +118,8 @@ object CollectionExecutor {
       state = Some(next)
       optimizer.foreach(_.observe(runDiff, if (runDiff) deltaCnt else edgeCnt, ms))
 
-      val stat = ViewStat(t, collection.viewNames(t), runDiff, ms, edgeCnt, deltaCnt,
-                          step.log(next))
-      stats += stat
-      if (sys.env.contains("REPRO_VERBOSE"))
-        Console.err.println(
-          f"[exec] ${step.name}%-4s view=$t%3d mode=${if (runDiff) "diff" else "scratch"}%-7s " +
-          f"ms=$ms%6d |E|=$edgeCnt%7d |δ|=$deltaCnt%6d iters=${stat.iterations}%3d work=${stat.workRows}%8d")
+      stats += ViewStat(t, collection.viewNames(t), runDiff, ms, edgeCnt, deltaCnt,
+                        step.log(next))
       if (keepResults) results += step.result(next)
     }
     (stats.result(), results.result())

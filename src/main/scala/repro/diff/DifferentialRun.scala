@@ -9,14 +9,17 @@ import scala.jdk.CollectionConverters._
 import Engine._
 import VertexProgram.neq
 
-/** Differentially maintain a program's run when advancing a collection to
-  * the next view (§3.2.2) — the Spark analog of DD "fixing the computation
-  * footprint".
+/** The engine: run a program on a view by differentially maintaining a
+  * stored run (§3.2.2) — the Spark analog of DD "fixing the computation
+  * footprint". Advancing a collection to its next view replays the previous
+  * view's run; a scratch view ([[scratch]]) replays the *edgeless* run,
+  * with every edge of the view as the difference set — as in the paper,
+  * where even a scratch run is a differential computation.
   *
-  * Given the previous view's trace (per-iteration change-points), the new
-  * view's edges E_t, and the difference set δE, the replay recomputes, at
-  * every iteration, only the vertices whose inputs can differ from the
-  * stored run:
+  * Given the stored trace (per-iteration change-points), the view's edges
+  * E_t, and the difference set δE, the replay recomputes, at every
+  * iteration, only the vertices whose inputs can differ from the stored
+  * run:
   *
   *   - `W` — vertices with a changed in-edge (dst of δE), plus, for
   *     degree-dependent programs, all out-neighbors of sources with changed
@@ -30,8 +33,9 @@ import VertexProgram.neq
   * override set of iteration i. The replay stops early once the stored
   * inputs of W are frozen (`i > L`, L = last stored change among
   * W ∪ N_in(W) ∪ src(δE)) and two consecutive iterations produced no
-  * divergence — after that the run provably mirrors the stored trace, so
-  * the final state is the stored final state.
+  * divergence (exit A), or once the new run is stationary (Converged, and
+  * its local form, exit C). A fixpoint program that still changes at
+  * `maxIterations` fails with an `IllegalStateException`.
   *
   * The stored trace is the driver-side [[Trace]] arrangement, broadcast
   * once per view; affected sets, divergence sets and change-points live on
@@ -48,6 +52,19 @@ object DifferentialRun {
   private val seedSchema =
     StructType(Seq(StructField("dst", LongType), StructField("__m", DoubleType)))
 
+  /** Run `program` on one view from scratch: the differential run from
+    * [[Engine.edgelessRun]] with δ = every edge of the view. A vertex
+    * without an in-edge keeps its edgeless value and every other vertex is
+    * in W, so the replay's invariant holds as is.
+    */
+  def scratch(spark: SparkSession, program: VertexProgram, vertices: DataFrame,
+              preparedEdges: DataFrame): RunResult =
+    run(spark, program, preparedEdges, preparedEdges, edgelessRun(program, vertices))
+
+  /** Advance `prev`, the run on the previous view, to the view whose
+    * prepared edges are `preparedEdges`, by the prepared difference set
+    * `preparedDelta` (only its `src, dst` are read).
+    */
   def run(spark: SparkSession, program: VertexProgram,
           preparedEdges: DataFrame, preparedDelta: DataFrame,
           prev: RunResult): RunResult = {
@@ -168,14 +185,14 @@ object DifferentialRun {
       // stored inputs of W are frozen: the rest of the run provably mirrors
       // the stored trace exactly.
       if (dCnt == 0 && prevPrevCnt == 0 && i >= freezeL + 1) exit = Some(Exit.A)
-      // Exit B — the new run is stationary and the stored trace is frozen
-      // everywhere: no affected vertex changed and no stored change-point
-      // lies at i or later (i > lastIter), so newState_i == newState_{i-1}
-      // and every further iteration repeats this one, with the divergence
-      // set Diff_i as the permanent override of the stored run. At
-      // i == lastIter a stored change at i can still reach an affected
-      // vertex at i + 1.
-      else if (cpCnt == 0 && i > prev.lastIter) exit = Some(Exit.B)
+      // Converged — the new run is stationary and the stored trace is
+      // frozen everywhere: no affected vertex changed and no stored
+      // change-point lies at i or later (i > lastIter), so
+      // newState_i == newState_{i-1} and every further iteration repeats
+      // this one, with the divergence set Diff_i as the permanent override
+      // of the stored run. At i == lastIter a stored change at i can still
+      // reach an affected vertex at i + 1.
+      else if (cpCnt == 0 && i > prev.lastIter) exit = Some(Exit.Converged)
       // Exit C — dynamic freeze horizon. Two consecutive stationary
       // iterations and the stored trace frozen *on the closed neighborhood
       // of the divergence region* (Diff ∪ N_out(Diff) ∪ affected ∪ their
@@ -200,7 +217,9 @@ object DifferentialRun {
 
     // ---- assemble result ------------------------------------------------
     val newTrace = prev.trace.patch(affectedLog.result(), changes.result())
-    requireConverged(program, newTrace)
+    if (program.fixedIterations.isEmpty && newTrace.lastIter >= program.maxIterations)
+      throw new IllegalStateException(
+        s"${program.name} did not converge within maxIterations = ${program.maxIterations}")
     val newFinal =
       if (diverged.isEmpty) prev.finalState
       else {

@@ -3,8 +3,9 @@ package repro.diff
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import VertexProgram.neq
 
-/** Shared plumbing for the scratch and differential executors. */
+/** Shared plumbing for the differential engine ([[DifferentialRun]]). */
 object Engine {
 
   /** Re-alias every column (fresh exprIds). Iterative plans repeatedly
@@ -48,23 +49,24 @@ object Engine {
       * freeze horizon of W's stored inputs.
       */
     case object A extends Exit
-    /** Differential exit B: stationary, and the stored trace frozen. */
-    case object B extends Exit
     /** Differential exit C: stationary for two iterations, and the stored
       * trace frozen on the divergence region's closed neighborhood.
       */
     case object C extends Exit
     /** Differential run on an empty difference set: nothing to replay. */
     case object EmptyDelta extends Exit
-    /** A scratch iteration changed nothing (the fixpoint). */
+    /** Stationary: an iteration with no change-point once the stored trace
+      * is frozen, so every later iteration repeats it. A scratch view's
+      * stored run is the edgeless run, so there this is the fixpoint.
+      */
     case object Converged extends Exit
     /** The program's fixed iteration count was run. */
     case object Fixed extends Exit
   }
 
   /** One iteration's counts: vertices recomputed, vertices whose value
-    * diverged from the stored run (0 for scratch, which has none), and
-    * change-points recorded in the new trace.
+    * diverged from the stored run, and change-points recorded in the new
+    * trace.
     */
   final case class IterStat(affected: Long, diverged: Long, changes: Long)
 
@@ -92,14 +94,6 @@ object Engine {
     /** Largest iteration with any change (trace horizon). */
     def lastIter: Int = trace.lastIter
   }
-
-  /** Fail a fixpoint program whose run still changed at its iteration cap,
-    * rather than return an unconverged state.
-    */
-  def requireConverged(program: VertexProgram, trace: Trace): Unit =
-    if (program.fixedIterations.isEmpty && trace.lastIter >= program.maxIterations)
-      throw new IllegalStateException(
-        s"${program.name} did not converge within maxIterations = ${program.maxIterations}")
 
   /** Edges prepared for a program: symmetrized when undirected (directed
     * eids e map to 2e / 2e+1 so diffs stay keyed), with a `srcdeg` column
@@ -132,9 +126,19 @@ object Engine {
       (col("eid") * 2 + 1).as("eid") +: col("dst").as("src") +: col("src").as("dst") +: cols.map(col): _*))
   }
 
-  /** state_0. */
-  def initialState(program: VertexProgram, vertices: DataFrame): DataFrame =
-    vertices.select(col("vid"), program.initExpr(col("vid")).cast("double").as("value"))
+  /** The run on a view with no edges, which a scratch view replays
+    * against. Every vertex holds `apply(init, null)` from iteration 1 on,
+    * so the trace has a change-point at iteration 1 wherever that value
+    * differs from init; one query over the vertices collects them.
+    */
+  def edgelessRun(program: VertexProgram, vertices: DataFrame): RunResult = {
+    val init = program.initExpr(col("vid")).cast("double")
+    val state = vertices.select(col("vid"),
+      program.applyExpr(init, lit(null).cast("double")).cast("double").as("value"))
+    val points = state.where(neq(col("value"), init)).collect()
+      .map(r => (r.getLong(0), 1, r.getDouble(1)))
+    RunResult(state, Trace(points), RunLog(Nil, Exit.Converged, 0L))
+  }
 
   /** State at iteration `j` of the run whose trace is `trace`, as a column
     * over vertex ids: the latest change-point ≤ j, else init. The trace is

@@ -18,8 +18,8 @@ import org.apache.spark.sql.functions._
   * deletions: an affected vertex recomputed from its current in-neighborhood
   * can move in either direction.
   *
-  * All hooks are Catalyst [[Column]] expressions, so both the scratch and
-  * differential executors stay entirely inside Spark SQL.
+  * All hooks are Catalyst [[Column]] expressions, so the engine
+  * ([[DifferentialRun]]) stays entirely inside Spark SQL.
   */
 trait VertexProgram {
   def name: String

@@ -18,9 +18,23 @@ object DiffStream {
     * under column ordering `order` (position t holds original view
     * `order(t)`).
     */
-  def compute(ebm: DataFrame, order: Seq[Int]): DataFrame = {
+  def compute(ebm: DataFrame, order: Seq[Int]): DataFrame =
+    ebm
+      .withColumn("__tr", explode(transitions(order)(col("bits"))))
+      .select(col("__tr._1").as("t"), col("eid"), col("src"), col("dst"),
+              col("weight"), col("__tr._2").as("diff"))
+
+  /** Total number of differences Σ_t |δC_t| for the EBM under `order` —
+    * the COP objective (Definition 1). Computed without materializing the
+    * stream.
+    */
+  def countDiffs(ebm: DataFrame, order: Seq[Int]): Long =
+    ebm.select(sum(size(transitions(order)(col("bits")))).as("n")).collect()(0).getLong(0)
+
+  /** An EBM row's membership flips `(t, +1|-1)` under `order`. */
+  private def transitions(order: Seq[Int]) = {
     val ord = order.toArray
-    val transitions = udf { (bits: Seq[Long]) =>
+    udf { (bits: Seq[Long]) =>
       var prev = false
       val out = Seq.newBuilder[(Int, Int)]
       var t = 0
@@ -33,32 +47,6 @@ object DiffStream {
       }
       out.result()
     }
-    ebm
-      .withColumn("__tr", explode(transitions(col("bits"))))
-      .select(col("__tr._1").as("t"), col("eid"), col("src"), col("dst"),
-              col("weight"), col("__tr._2").as("diff"))
-  }
-
-  /** Total number of differences Σ_t |δC_t| for the EBM under `order` —
-    * the COP objective (Definition 1). Computed without materializing the
-    * stream.
-    */
-  def countDiffs(ebm: DataFrame, order: Seq[Int]): Long = {
-    val ord = order.toArray
-    val nTrans = udf { (bits: Seq[Long]) =>
-      var prev = false
-      var c = 0
-      var t = 0
-      while (t < ord.length) {
-        val j = ord(t)
-        val cur = (bits(j / 64) & (1L << (j % 64))) != 0L
-        if (cur != prev) c += 1
-        prev = cur
-        t += 1
-      }
-      c
-    }
-    ebm.select(sum(nTrans(col("bits"))).as("n")).collect()(0).getLong(0)
   }
 
   /** The diffs fed to DD when advancing to position t. */

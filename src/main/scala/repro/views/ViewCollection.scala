@@ -31,18 +31,6 @@ final case class ViewCollection(
 
   /** Difference set fed to the engine when advancing to position t. */
   def diffsAt(t: Int): DataFrame = DiffStream.at(diffs, t)
-
-  /** Materialize the view at execution position t (for tests/scratch). */
-  def viewEdges(t: Int): DataFrame = ebm match {
-    case Some(m) => Ebm.viewEdges(m, order(t))
-    case None =>
-      // Fold the difference stream up to t — Σ_{s<=t} δC_s.
-      diffs.where(col("t") <= t)
-        .groupBy("eid", "src", "dst", "weight")
-        .agg(sum("diff").as("m"))
-        .where(col("m") > 0)
-        .select("eid", "src", "dst", "weight")
-  }
 }
 
 object ViewCollection {

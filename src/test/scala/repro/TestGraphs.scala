@@ -1,6 +1,7 @@
 package repro
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.functions.lit
 import scala.util.Random
 import repro.diff.VertexProgram
 import repro.graph.PropertyGraph
@@ -78,7 +79,15 @@ object TestGraphs {
   }
 
   /** `p` with its fixpoint iteration cap set to `cap`. */
-  def withMaxIterations(p: VertexProgram, cap: Int): VertexProgram = new VertexProgram {
+  def withMaxIterations(p: VertexProgram, cap: Int): VertexProgram =
+    new Forwarding(p) { override val maxIterations = cap }
+
+  /** `p` with every vertex's init value set to `v`. */
+  def withInit(p: VertexProgram, v: Double): VertexProgram =
+    new Forwarding(p) { override def initExpr(vid: Column): Column = lit(v) }
+
+  /** A program that behaves exactly like `p`. */
+  private class Forwarding(p: VertexProgram) extends VertexProgram {
     val name = p.name
     def initExpr(vid: Column): Column = p.initExpr(vid)
     def msgExpr(srcValue: Column, weight: Column, srcDeg: Column): Column =
@@ -88,6 +97,6 @@ object TestGraphs {
     override val degreeDependent = p.degreeDependent
     override val undirected = p.undirected
     override val fixedIterations = p.fixedIterations
-    override val maxIterations = cap
+    override val maxIterations = p.maxIterations
   }
 }

@@ -66,6 +66,21 @@ class SccSpec extends ReproSpec {
     assert(got == sccRef(4, remaining))
   }
 
+  test("incremental: a broken SCC stays apart from an intact SCC of vids ≥ 2^40") {
+    val big = 1L << 40
+    val verts = Seq(3L, 4L, big + 3, big + 5)
+    val cycles = Vector(E(0, 3L, 4L, 1.0), E(1, 4L, 3L, 1.0),
+                        E(2, big + 3, big + 5, 1.0), E(3, big + 5, big + 3, 1.0))
+    val views = Vector(cycles, cycles.filterNot(_.eid == 1)) // view 1 breaks 3↔4
+    import spark.implicits._
+    val (stats, results) = Scc.runCollection(spark, verts.toDF("vid"),
+      TestGraphs.collectionFrom(spark, "sccBig", views), CollectionExecutor.DiffOnly,
+      keepResults = true)
+    assert(stats(1).ranDiff)
+    for (t <- views.indices)
+      assert(results(t) == Reference.scc(verts, views(t).map(e => (e.src, e.dst))), s"view $t")
+  }
+
   for (seed <- Seq(21, 22)) {
     test(s"incremental matches Tarjan across a perturbation collection (seed=$seed)") {
       val rnd = new Random(seed)

@@ -130,6 +130,25 @@ class DifferentialRunSpec extends ReproSpec {
     assert(err.getMessage.contains("BFS") && err.getMessage.contains("maxIterations = 3"))
   }
 
+  test("a program whose edgeless run has change-points runs to the reference in both modes") {
+    // apply(init, null) = 0.15 ≠ 1.0 = init: the edgeless run changes every
+    // vertex at iteration 1.
+    val prog = TestGraphs.withInit(PageRankProg(6), 1.0)
+    val rnd = new Random(67)
+    val nV = 30
+    val viewLists = TestGraphs.perturbationViews(rnd, nV, TestGraphs.randomEdges(rnd, nV, 60),
+                                                 3, 8, 8)
+    val coll = TestGraphs.collectionFrom(spark, "init1", viewLists)
+    for (mode <- Seq(CollectionExecutor.ScratchOnly, CollectionExecutor.DiffOnly)) {
+      val run = CollectionExecutor.run(spark, prog, TestGraphs.vertices(spark, nV),
+                                       coll, mode, keepResults = true)
+      for (t <- viewLists.indices)
+        assertClose(run.results(t),
+          Reference.pageRank((0L until nV).toSeq, viewLists(t).map(e => (e.src, e.dst)), 6, init = 1.0),
+          s"$mode view $t")
+    }
+  }
+
   test("disjoint views (complete replacement) still produce correct results") {
     val rnd = new Random(53)
     val nV = 30

@@ -6,16 +6,17 @@ import repro.TestGraphs.E
 import repro.algorithms._
 import scala.util.Random
 
-/** Scratch runs must agree with the driver-side reference implementations
-  * on random graphs — this pins down the Jacobi semantics of every
-  * [[VertexProgram]] before any differential machinery is tested.
+/** Scratch runs (the differential run from the edgeless view) must agree
+  * with the driver-side reference implementations on random graphs — this
+  * pins down the Jacobi semantics of every [[VertexProgram]] before
+  * view-to-view maintenance is tested.
   */
 class ScratchRunSpec extends ReproSpec {
 
   private def runProgram(prog: VertexProgram, nV: Int, edges: Seq[E]): Map[Long, Double] = {
     val verts = TestGraphs.vertices(spark, nV)
     val prepared = Engine.prepare(prog, TestGraphs.edgesDF(spark, edges))
-    val res = ScratchRun.run(prog, verts, prepared)
+    val res = DifferentialRun.scratch(spark, prog, verts, prepared)
     res.finalState.collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
   }
 
@@ -65,7 +66,7 @@ class ScratchRunSpec extends ReproSpec {
     val edges = TestGraphs.randomEdges(rnd, nV, 90)
     val prog  = Wcc()
     val prepared = Engine.prepare(prog, TestGraphs.edgesDF(spark, edges))
-    val res = ScratchRun.run(prog, TestGraphs.vertices(spark, nV), prepared)
+    val res = DifferentialRun.scratch(spark, prog, TestGraphs.vertices(spark, nV), prepared)
     val trace = spark.sparkContext.broadcast(res.trace)
     val replayed = TestGraphs.vertices(spark, nV)
       .select(col("vid"), Engine.stateAt(prog, trace, res.lastIter)(col("vid")))
